@@ -19,12 +19,12 @@ top of any ``dynamic_capable`` allocator:
 
 Randomness: the root seed spawns two independent
 :class:`~numpy.random.SeedSequence` children per epoch — a *control*
-stream (arrival counts, departure draws, full-rerun reshuffles) and a
-*placement* seed handed verbatim to the adapter.  An epoch's placement
-is therefore bitwise-identical to calling the adapter directly with
-that child seed and the same residual loads — the value-identity
-contract the dynamic tests pin — and a 100%-churn epoch reproduces a
-fresh one-shot run exactly.
+stream (arrival counts, departure draws, ``fifo``'s full-rerun
+reshuffles) and a *placement* seed handed verbatim to the adapter.  An
+epoch's placement is therefore bitwise-identical to calling the
+adapter directly with that child seed and the same residual loads —
+the value-identity contract the dynamic tests pin — and a 100%-churn
+epoch reproduces a fresh one-shot run exactly.
 
 >>> import repro
 >>> res = repro.run_dynamic("heavy", 20_000, 64, seed=7, epochs=4)
@@ -503,7 +503,7 @@ def run_dynamic(
     # placement child goes to the adapter verbatim, so an epoch's
     # placement can be reproduced by calling the adapter directly.
     children = root.spawn(2 * (spec.epochs + 1))
-    residents = ResidentState(n)
+    residents = ResidentState.for_policy(n, spec.departures)
     records: list[EpochRecord] = []
     history = np.zeros((spec.epochs + 1, n), dtype=np.int64)
 
@@ -671,12 +671,17 @@ def run_dynamic(
                 )
             continue
         departing = count
+        depart_start = tele.begin() if tele is not None else 0.0
         residents.depart(
             departing,
             spec.departures,
             ctrl.stream("dynamic", "departures"),
             hot_frac=spec.hot_frac,
         )
+        if tele is not None:
+            tele.complete(
+                "depart", depart_start, cat="dynamic", epoch=epoch, k=departing
+            )
         base = residents.loads
         if spec.rebalance == "incremental":
             counts, stats, elapsed = _execute(count, base, place_seed, ctrl)
@@ -690,15 +695,28 @@ def run_dynamic(
                 total, np.zeros(n, dtype=np.int64), place_seed, epoch_wl
             )
             elapsed = time.perf_counter() - start
+            if tele is not None:
+                tele.complete(
+                    "placement",
+                    start,
+                    cat="dynamic",
+                    epoch=epoch,
+                    cohort=total,
+                )
             # The arriving cohort joins before the reshuffle so its
             # balls get bin positions (and ages) like everyone else's;
             # its pre-reshuffle bin composition is a placeholder.
             placeholder = np.zeros(n, dtype=np.int64)
             placeholder[0] = count
             residents.add_cohort(epoch, placeholder)
+            reshuffle_start = tele.begin() if tele is not None else 0.0
             residents.reshuffle(
                 placement.loads, ctrl.stream("dynamic", "reshuffle")
             )
+            if tele is not None:
+                tele.complete(
+                    "reshuffle", reshuffle_start, cat="dynamic", epoch=epoch
+                )
             moved = placement.placed
             stats = (
                 placement.placed,

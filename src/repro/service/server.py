@@ -300,7 +300,7 @@ class AllocatorService:
             max_queue if max_queue is not None else 64 * max_batch
         )
         self._root = as_seed_sequence(seed)
-        self.residents = ResidentState(n)
+        self.residents = ResidentState.for_policy(n, departures)
         self.records: list[BatchRecord] = []
         #: Audit log of public mutating calls: (op, count, at) tuples.
         self.trace: list[tuple[str, int, float]] = []
@@ -484,12 +484,21 @@ class AllocatorService:
         released = min(releases, self.residents.population)
         self._dropped_releases += releases - released
         if released:
+            depart_start = tele.begin() if tele is not None else 0.0
             self.residents.depart(
                 released,
                 self.departures,
                 ctrl.stream("dynamic", "departures"),
                 hot_frac=self.hot_frac,
             )
+            if tele is not None:
+                tele.complete(
+                    "depart",
+                    depart_start,
+                    cat="service",
+                    batch=len(self.records),
+                    released=released,
+                )
         placed = unplaced = rounds = messages = moved = 0
         place_start = tele.begin() if tele is not None else 0.0
         if places:

@@ -95,8 +95,8 @@ class TestDynamicSpec:
 
 
 class TestResidentState:
-    def _populated(self, n=8, sizes=(40, 30, 20)):
-        state = ResidentState(n)
+    def _populated(self, n=8, sizes=(40, 30, 20), policy="uniform"):
+        state = ResidentState.for_policy(n, policy)
         rng = np.random.default_rng(1)
         for epoch, size in enumerate(sizes):
             counts = rng.multinomial(size, np.full(n, 1 / n))
@@ -105,7 +105,7 @@ class TestResidentState:
 
     @pytest.mark.parametrize("policy", ["uniform", "fifo", "hotset"])
     def test_departure_conservation(self, policy):
-        state = self._populated()
+        state = self._populated(policy=policy)
         before = state.population
         departed = state.depart(
             25, policy, np.random.default_rng(2), hot_frac=0.25
@@ -122,7 +122,7 @@ class TestResidentState:
         assert np.array_equal(state.loads, before)
 
     def test_fifo_consumes_oldest_first(self):
-        state = self._populated(sizes=(40, 30, 20))
+        state = self._populated(sizes=(40, 30, 20), policy="fifo")
         state.depart(45, "fifo", np.random.default_rng(3))
         epochs = [epoch for epoch, _ in state.cohorts]
         # Cohort 0 (40 balls) fully gone, cohort 1 split, cohort 2 whole.
@@ -162,7 +162,7 @@ class TestResidentState:
             state.depart(1, "lifo", np.random.default_rng(0))
 
     def test_reshuffle_preserves_cohort_sizes(self):
-        state = self._populated(sizes=(40, 30, 20))
+        state = self._populated(sizes=(40, 30, 20), policy="fifo")
         rng = np.random.default_rng(5)
         new_loads = rng.multinomial(90, np.full(8, 1 / 8)).astype(np.int64)
         state.reshuffle(new_loads, rng)
@@ -170,11 +170,47 @@ class TestResidentState:
         assert [int(c.sum()) for _, c in state.cohorts] == [40, 30, 20]
 
     def test_reshuffle_shortfall_evicts_newest(self):
-        state = self._populated(sizes=(40, 30, 20))
+        state = self._populated(sizes=(40, 30, 20), policy="fifo")
         rng = np.random.default_rng(5)
         new_loads = rng.multinomial(65, np.full(8, 1 / 8)).astype(np.int64)
         state.reshuffle(new_loads, rng)
         assert [int(c.sum()) for _, c in state.cohorts] == [40, 25]
+
+    def test_reshuffle_without_cohorts_draws_nothing(self):
+        state = self._populated(sizes=(40, 30, 20))
+        new_loads = np.full(8, 8, dtype=np.int64)
+        state.reshuffle(new_loads, None)
+        assert np.array_equal(state.loads, new_loads)
+        assert state.cohorts == []
+        with pytest.raises(ValueError, match="exceeds"):
+            state.reshuffle(np.full(8, 100, dtype=np.int64))
+
+    @pytest.mark.parametrize("policy", ["uniform", "hotset"])
+    def test_flat_cost_no_cohorts_accumulate(self, policy):
+        """Only fifo keeps arrival cohorts: under the load-only
+        policies, 300 add/depart cycles leave no cohort rows behind,
+        so per-departure cost stays O(n) however long the run."""
+        n = 16
+        state = ResidentState.for_policy(n, policy)
+        rng = np.random.default_rng(6)
+        state.add_cohort(0, np.full(n, 10, dtype=np.int64))
+        for epoch in range(1, 301):
+            departed = state.depart(16, policy, rng, hot_frac=0.25)
+            assert departed.sum() == 16
+            state.add_cohort(epoch, rng.multinomial(16, np.full(n, 1 / n)))
+        assert state.cohorts == []
+        assert state.population == 10 * n
+
+    def test_fifo_needs_cohort_tracking(self):
+        state = self._populated()
+        assert state.cohorts == []
+        with pytest.raises(ValueError, match="fifo"):
+            state.depart(1, "fifo", np.random.default_rng(0))
+
+    def test_tracking_state_rejects_load_only_policies(self):
+        state = self._populated(policy="fifo")
+        with pytest.raises(ValueError, match="cohort"):
+            state.depart(1, "uniform", np.random.default_rng(0))
 
 
 class TestRunDynamicInvariants:

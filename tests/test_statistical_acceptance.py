@@ -25,6 +25,7 @@ from repro.analysis.theory import (
     predicted_rounds,
 )
 from repro.api import allocate_many, replicate
+from repro.dynamic import ResidentState
 from repro.experiments.exp_replication import heavy_gap_envelope
 
 SEED = 20190416
@@ -123,3 +124,85 @@ class TestPerballAggregateAgreement:
         rep = replicate("heavy", m, n, trials=t, seed=SEED)
         assert np.all(rep.loads.sum(axis=1) == m)
         assert math.isclose(rep.loads.mean(), m / n)
+
+
+def _cohort_matrix_departures(matrix, k, policy, rng, hot_frac):
+    """Reference: the departure draw over the flattened (cohort, bin)
+    matrix that ``ResidentState`` made before it kept per-bin loads
+    only; returns the per-bin column sums."""
+    if policy == "uniform":
+        return rng.multivariate_hypergeometric(matrix.ravel(), k).reshape(
+            matrix.shape
+        ).sum(axis=0)
+    n = matrix.shape[1]
+    order = np.argsort(-matrix.sum(axis=0), kind="stable")
+    n_hot = max(1, min(n - 1, math.ceil(hot_frac * n)))
+    hot, cold = order[:n_hot], order[n_hot:]
+    out = np.zeros(n, dtype=np.int64)
+    k_hot = min(k, int(matrix[:, hot].sum()))
+    for bins, q in ((hot, k_hot), (cold, k - k_hot)):
+        if q > 0:
+            out[bins] = rng.multivariate_hypergeometric(
+                matrix[:, bins].ravel(), q
+            ).reshape(-1, bins.size).sum(axis=0)
+    return out
+
+
+class TestLoadOnlyDepartureLaw:
+    """Merging categories of a multivariate hypergeometric gives
+    another one, so departures drawn over the per-bin loads have the
+    law of the per-bin sums of a draw over the (cohort, bin) matrix.
+    Two-sample KS over per-bin departure counts and their maximum."""
+
+    REPS = 2000
+    HOT_FRAC = 0.25
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        rng = np.random.default_rng(SEED)
+        n = 16
+        sizes = (300, 200, 120, 80)
+        weights = rng.dirichlet(np.full(n, 2.0), size=len(sizes))
+        return np.stack(
+            [rng.multinomial(s, w) for s, w in zip(sizes, weights)]
+        ).astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "policy,k", [("uniform", 350), ("hotset", 40), ("hotset", 400)]
+    )
+    def test_per_bin_departures_agree(self, matrix, policy, k):
+        loads = matrix.sum(axis=0)
+        old_rng = np.random.default_rng([SEED, 1])
+        new_rng = np.random.default_rng([SEED, 2])
+        old = np.stack(
+            [
+                _cohort_matrix_departures(
+                    matrix, k, policy, old_rng, self.HOT_FRAC
+                )
+                for _ in range(self.REPS)
+            ]
+        )
+        new = np.empty_like(old)
+        for r in range(self.REPS):
+            state = ResidentState.for_policy(loads.size, policy)
+            state.add_cohort(0, loads)
+            new[r] = state.depart(k, policy, new_rng, hot_frac=self.HOT_FRAC)
+        assert np.all(new.sum(axis=1) == k)
+        # The hottest bin, the two bins either side of the hot-set
+        # boundary (4 of 16 bins at HOT_FRAC), the coldest bin, and
+        # the per-draw maximum.
+        order = np.argsort(-loads, kind="stable")
+        columns = {
+            f"bin{b}": (old[:, b], new[:, b])
+            for b in order[[0, 3, 4, loads.size - 1]]
+        }
+        columns["max"] = (old.max(axis=1), new.max(axis=1))
+        for name, (a, b) in columns.items():
+            ks = scipy_stats.ks_2samp(a, b)
+            # Observed: every p-value >= 0.39.  Multinomial (with
+            # replacement) departures at k=350 drive bin 7's p to
+            # ~1e-7, and a hot set one bin too wide to ~1e-78.
+            assert ks.pvalue > 1e-3, (policy, k, name, ks)
+            assert abs(a.mean() - b.mean()) <= 5 * math.sqrt(
+                (a.var() + b.var()) / self.REPS
+            ) + 1e-9, (policy, k, name)

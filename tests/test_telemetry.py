@@ -378,6 +378,19 @@ def _assert_same_allocation(a, b):
     assert a.rounds == b.rounds
 
 
+def _assert_nested(events, child, parent):
+    """Every ``child`` span lies inside some ``parent`` span."""
+    spans = [e for e in events if e.get("ph") == "X"]
+    parents = [e for e in spans if e["name"] == parent]
+    children = [e for e in spans if e["name"] == child]
+    assert children, child
+    for c in children:
+        assert any(
+            p["ts"] <= c["ts"] and c["ts"] + c["dur"] <= p["ts"] + p["dur"]
+            for p in parents
+        ), (child, parent, c)
+
+
 class TestBitwiseIdentity:
     M, N = 20_000, 64
 
@@ -444,16 +457,49 @@ class TestBitwiseIdentity:
             (r.gap, r.messages, r.moved) for r in on.records
         ]
         assert any(e["name"] == "epoch" for e in tele.tracer.events)
+        # The epoch's departures get their own span, beside placement.
+        _assert_nested(tele.tracer.events, "depart", "epoch")
+        _assert_nested(tele.tracer.events, "placement", "epoch")
+
+    @pytest.mark.parametrize("departures", ["uniform", "fifo"])
+    def test_run_dynamic_full_rerun_spans(self, departures):
+        off, on, tele = _on_off(
+            lambda: repro.run_dynamic(
+                "heavy",
+                10_000,
+                64,
+                seed=4,
+                epochs=3,
+                departures=departures,
+                rebalance="full_rerun",
+            )
+        )
+        assert np.array_equal(off.loads_history, on.loads_history)
+        assert [(r.gap, r.messages) for r in off.records] == [
+            (r.gap, r.messages) for r in on.records
+        ]
+        for child in ("depart", "placement", "reshuffle"):
+            _assert_nested(tele.tracer.events, child, "epoch")
 
     def test_simulate_service(self):
-        off, on, tele = _on_off(
-            lambda: simulate_service("heavy", 5_000, 64, seed=0, epochs=3)
-        )
-        assert off.stats.messages == on.stats.messages
-        assert off.stats.gap == on.stats.gap
-        assert off.stats.population == on.stats.population
-        assert [r.gap for r in off.records] == [r.gap for r in on.records]
-        assert any(e["name"] == "flush" for e in tele.tracer.events)
+        for departures in ("uniform", "fifo"):
+            off, on, tele = _on_off(
+                lambda: simulate_service(
+                    "heavy", 5_000, 64, seed=0, epochs=3,
+                    departures=departures,
+                )
+            )
+            assert off.stats.messages == on.stats.messages
+            assert off.stats.gap == on.stats.gap
+            assert off.stats.population == on.stats.population
+            assert [r.gap for r in off.records] == [
+                r.gap for r in on.records
+            ]
+            assert [r.max_load for r in off.records] == [
+                r.max_load for r in on.records
+            ]
+            assert any(e["name"] == "flush" for e in tele.tracer.events)
+            _assert_nested(tele.tracer.events, "depart", "flush")
 
     def test_zero_rng_draws(self):
         """Telemetry must not consume randomness: run both legs from
